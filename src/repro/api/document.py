@@ -2,13 +2,13 @@
 
 An *experiment document* is a JSON or TOML file that describes a batch
 of simulations as data — the serialized equivalent of hand-building
-:class:`~repro.experiments.spec.RunSpec` /
-:class:`~repro.experiments.builders.SystemSpec` lists in Python.  Loaded
-documents validate strictly (unknown keys, bad types, unknown builders/
-benchmarks/programs all fail at load time) and expand to exactly the
-spec objects the code path builds, so running a document yields
-byte-identical ``SweepResult`` payloads — and warm result-cache hits —
-against the equivalent Python.
+:class:`~repro.experiments.builders.SystemSpec` lists in Python
+(protocol runs through :func:`~repro.experiments.builders.RunSpec`).
+Loaded documents validate strictly (unknown keys, bad types, unknown
+builders/benchmarks/programs all fail at load time) and expand to
+exactly the spec objects the code path builds, so running a document
+yields byte-identical ``SweepResult`` payloads — and warm result-cache
+hits — against the equivalent Python.
 
 Document schema (``DOCUMENT_SCHEMA`` = 1)::
 
@@ -30,9 +30,9 @@ Document schema (``DOCUMENT_SCHEMA`` = 1)::
                                     #   core), strictly validated
 
     [[runs]]                        # explicit run list, in order
-    benchmark = "barnes"            # RunSpec shape (protocol runs), OR
+    benchmark = "barnes"            # protocol run (lowered by RunSpec), OR
     protocol = "scorpio"
-    # builder = "inso"              # SystemSpec shape (system runs)
+    # builder = "inso"              # builder run
     # params  = { expiration_window = 20 }
     # workload = { kind = "benchmark", name = "fft", ... }
     config = "<label>"              # optional; default chip when absent
@@ -222,8 +222,7 @@ def _lookup_config(name: Optional[str],
 
 def _resolve_run(data: Mapping[str, Any],
                  configs: Mapping[str, ChipConfig], what: str):
-    """One ``[[runs]]`` entry -> RunSpec or SystemSpec."""
-    from repro.core.api import PROTOCOLS
+    """One ``[[runs]]`` entry -> SystemSpec."""
     from repro.experiments import RunSpec, SystemSpec, builder_names
 
     _check_keys(data, _RUN_KEYS, what)
@@ -241,9 +240,7 @@ def _resolve_run(data: Mapping[str, Any],
             _require(key not in data,
                      f"{what}.{key} only applies to builder runs")
         protocol = _get(data, "protocol", str, what, default="scorpio")
-        _require(protocol in PROTOCOLS,
-                 f"{what}: unknown protocol {protocol!r}; known: "
-                 f"{list(PROTOCOLS)}")
+        _check_protocols([protocol], what)
         spec = RunSpec(
             benchmark=_get(data, "benchmark", str, what, required=True),
             protocol=protocol,
@@ -255,31 +252,40 @@ def _resolve_run(data: Mapping[str, Any],
                                    what, default=1.0)),
             seed=_get(data, "seed", int, what, default=0),
             max_cycles=max_cycles, label=label)
-        try:
-            spec.resolved_profile()
-        except KeyError as exc:
-            raise DocumentError(f"{what}: {exc.args[0]}") from exc
-        return spec
-
-    for key in ("ops_per_core", "workload_scale", "think_scale", "seed",
-                "protocol"):
-        _require(key not in data,
-                 f"{what}.{key} only applies to benchmark runs (builder "
-                 f"runs carry them inside 'workload'/'params')")
-    builder = _get(data, "builder", str, what, required=True)
-    _require(builder in builder_names(),
-             f"{what}: unknown builder {builder!r}; known: "
-             f"{builder_names()}")
-    spec = SystemSpec(
-        builder=builder, config=config,
-        params=dict(_get(data, "params", Mapping, what, default={})),
-        workload=dict(_get(data, "workload", Mapping, what, default={})),
-        max_cycles=max_cycles, label=label)
-    try:
-        spec.key()          # resolves params + workload: strict checks
-    except (KeyError, ValueError) as exc:
-        raise DocumentError(f"{what}: {exc}") from exc
+    else:
+        for key in ("ops_per_core", "workload_scale", "think_scale", "seed",
+                    "protocol"):
+            _require(key not in data,
+                     f"{what}.{key} only applies to benchmark runs (builder "
+                     f"runs carry them inside 'workload'/'params')")
+        builder = _get(data, "builder", str, what, required=True)
+        _require(builder in builder_names(),
+                 f"{what}: unknown builder {builder!r}; known: "
+                 f"{builder_names()}")
+        spec = SystemSpec(
+            builder=builder, config=config,
+            params=dict(_get(data, "params", Mapping, what, default={})),
+            workload=dict(_get(data, "workload", Mapping, what,
+                               default={})),
+            max_cycles=max_cycles, label=label)
+    _check_spec(spec, what)
     return spec
+
+
+def _check_protocols(protocols: Sequence[str], what: str) -> None:
+    from repro.core.api import PROTOCOLS
+    for protocol in protocols:
+        _require(protocol in PROTOCOLS,
+                 f"{what}: unknown protocol {protocol!r}; known: "
+                 f"{list(PROTOCOLS)}")
+
+
+def _check_spec(spec, what: str) -> None:
+    """Resolve *spec*'s params and workload (strict checks)."""
+    try:
+        spec.key()
+    except (KeyError, ValueError) as exc:
+        raise DocumentError(f"{what}: {exc.args[0]}") from exc
 
 
 _MATRIX_KEYS = ("benchmarks", "protocols", "seeds", "config", "configs",
@@ -289,17 +295,13 @@ _MATRIX_KEYS = ("benchmarks", "protocols", "seeds", "config", "configs",
 
 def _resolve_matrix(data: Mapping[str, Any],
                     configs: Mapping[str, ChipConfig], what: str):
-    """A ``[matrix]`` table -> expanded RunSpec list (Sweep order)."""
-    from repro.core.api import PROTOCOLS
+    """A ``[matrix]`` table -> expanded spec list (Sweep order)."""
     from repro.experiments import Sweep
 
     _check_keys(data, _MATRIX_KEYS, what)
     benchmarks = _str_list(data, "benchmarks", what, required=True)
     protocols = _str_list(data, "protocols", what, default=["scorpio"])
-    for protocol in protocols:
-        _require(protocol in PROTOCOLS,
-                 f"{what}: unknown protocol {protocol!r}; known: "
-                 f"{list(PROTOCOLS)}")
+    _check_protocols(protocols, what)
     _require("config" not in data or "configs" not in data,
              f"{what}: give either 'config' or 'configs', not both")
     if "configs" in data:
@@ -321,10 +323,7 @@ def _resolve_matrix(data: Mapping[str, Any],
         max_cycles=_get(data, "max_cycles", int, what, default=400_000))
     specs = sweep.expand()
     for spec in specs:
-        try:
-            spec.resolved_profile()
-        except KeyError as exc:
-            raise DocumentError(f"{what}: {exc.args[0]}") from exc
+        _check_spec(spec, what)
     return specs
 
 
@@ -422,14 +421,11 @@ class ExperimentSpec:
         (config, workload, params), ready to print or diff.  With
         ``fingerprints=True`` each run also carries its content hash
         (this reads and hashes the simulator sources once)."""
-        from repro.experiments import RunSpec
         from repro.experiments.cache import code_version
         version = code_version() if fingerprints else None
         runs = []
         for spec in self.specs:
-            entry = {"kind": ("benchmark" if isinstance(spec, RunSpec)
-                              else "system"),
-                     "label": spec.label, **spec.key()}
+            entry = {"label": spec.label, **spec.key()}
             if fingerprints:
                 entry["fingerprint"] = spec.fingerprint(
                     code_version=version)
@@ -620,23 +616,15 @@ def run_experiment(experiment: Union[ExperimentSpec, str, Path],
     """Execute an experiment document (or its path) through the sweep
     runner; ``jobs``/``cache`` default to the process execution context
     exactly like :func:`~repro.experiments.sweep.run_sweep`.  Cached
-    executions record this job's hit/miss delta in ``cache_stats`` (and
-    hence the envelope), so cache effectiveness is observable per job
-    even when the ``ResultCache`` object is shared across jobs."""
-    from repro.experiments import run_sweep
-    from repro.experiments.cache import as_cache
-    from repro.experiments.context import get_context
+    executions record this job's hit/miss counts in ``cache_stats`` (and
+    hence the envelope)."""
+    from repro.experiments.sweep import execute_batch
     if not isinstance(experiment, ExperimentSpec):
         experiment = load_experiment(experiment)
-    resolved = get_context().cache if cache is None else as_cache(cache)
-    before = (resolved.hits, resolved.misses) if resolved else (0, 0)
-    results = run_sweep(experiment.specs, jobs=jobs,
-                        cache=resolved if resolved is not None else False) \
-        if experiment.specs else []
+    results, cache_stats = execute_batch(experiment.specs, jobs=jobs,
+                                         cache=cache)
     collected = collect_experiment_result(experiment, results)
-    if resolved is not None:
-        collected.cache_stats = {"hits": resolved.hits - before[0],
-                                 "misses": resolved.misses - before[1]}
+    collected.cache_stats = cache_stats
     return collected
 
 

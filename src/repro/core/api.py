@@ -14,17 +14,24 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.config import ChipConfig
 from repro.sim.statsframe import StatsFrame
-from repro.systems.directory import DirectorySystem
-from repro.systems.scorpio import ScorpioSystem
 from repro.workloads.suites import profile as lookup_profile
 from repro.workloads.synthetic import (WorkloadProfile,
                                        generate_system_traces, scaled)
 
-PROTOCOLS = ("scorpio", "lpd", "ht", "fullbit")
+# protocol -> (system builder, builder params): every protocol-shaped run
+# (build_system, run_benchmark, RunSpec) is one of the registered
+# builders of repro.experiments.builders.
+PROTOCOL_BUILDERS: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    "scorpio": ("scorpio", {}),
+    "lpd": ("directory", {"scheme": "LPD"}),
+    "ht": ("directory", {"scheme": "HT"}),
+    "fullbit": ("directory", {"scheme": "FULLBIT"}),
+}
+PROTOCOLS = tuple(PROTOCOL_BUILDERS)
 
 
 @dataclass
@@ -73,72 +80,24 @@ class RunResult:
         return self.frame.relative_to(f"l2.breakdown.{served}.").mean
 
 
-def build_system(protocol: str, traces, config: Optional[ChipConfig] = None
-                 ) -> Union[ScorpioSystem, DirectorySystem]:
-    """Instantiate a full system of the given *protocol*."""
-    config = config or ChipConfig.chip_36core()
-    if protocol == "scorpio":
-        return ScorpioSystem(traces=traces, noc=config.noc,
-                             notification=config.notification,
-                             cache=config.cache, memory=config.memory,
-                             core=config.core, mc_nodes=config.mc_nodes,
-                             seed=config.seed)
-    if protocol in ("lpd", "ht", "fullbit"):
-        from repro.coherence.directory import DirectoryConfig
-        dir_config = DirectoryConfig(
-            scheme=protocol.upper(), n_nodes=config.noc.n_nodes,
-            total_cache_bytes=config.directory_cache_bytes,
-            line_size=config.noc.line_size_bytes)
-        return DirectorySystem(scheme=protocol.upper(), traces=traces,
-                               noc=config.noc, cache=config.cache,
-                               memory=config.memory, core=config.core,
-                               directory=dir_config,
-                               mc_nodes=config.mc_nodes, seed=config.seed)
-    raise ValueError(f"unknown protocol {protocol!r}; expected one of "
-                     f"{PROTOCOLS}")
+def protocol_builder(protocol: str) -> Tuple[str, Dict[str, Any]]:
+    """The (builder name, builder params) that *protocol* lowers to."""
+    try:
+        builder, params = PROTOCOL_BUILDERS[protocol]
+    except KeyError:
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of "
+                         f"{PROTOCOLS}") from None
+    return builder, dict(params)
 
 
-def build_benchmark_system(benchmark: Union[str, WorkloadProfile],
-                           protocol: str = "scorpio",
-                           config: Optional[ChipConfig] = None,
-                           ops_per_core: int = 150,
-                           workload_scale: float = 1.0,
-                           think_scale: float = 1.0,
-                           seed: int = 0):
-    """Construct — but do not run — the system for one benchmark run.
-
-    The checkpointable form of :func:`run_benchmark`: snapshot the
-    returned system at any point between runs, restore it elsewhere, and
-    :func:`collect_run_result` harvests the same :class:`RunResult` a
-    straight run would have produced."""
-    config = config or ChipConfig.chip_36core()
-    if isinstance(benchmark, str):
-        prof = lookup_profile(benchmark)
-    else:
-        prof = benchmark
-    if workload_scale != 1.0 or think_scale != 1.0:
-        prof = scaled(prof, workload_scale, think_scale)
-    traces = generate_system_traces(prof, config.n_cores, ops_per_core,
-                                    seed=seed)
-    system = build_system(protocol, traces, config)
-    system.benchmark_name = prof.name
-    return system
-
-
-def collect_run_result(system, protocol: str,
-                       benchmark_name: Optional[str] = None) -> RunResult:
-    """Harvest the :class:`RunResult` from a finished system (built by
-    :func:`build_benchmark_system`, possibly restored from a checkpoint)."""
-    return RunResult(
-        protocol=protocol,
-        benchmark=(benchmark_name if benchmark_name is not None
-                   else getattr(system, "benchmark_name", "")),
-        n_cores=system.n_nodes,
-        runtime=system.engine.cycle,
-        completed_ops=system.total_completed_ops(),
-        progress=system.progress(),
-        stats=system.stats.snapshot(),
-    )
+def build_system(protocol: str, traces, config: Optional[ChipConfig] = None):
+    """Instantiate a full system of the given *protocol* through the
+    builder registry."""
+    from repro.experiments.builders import get_builder
+    name, params = protocol_builder(protocol)
+    builder = get_builder(name)
+    return builder.construct(config or ChipConfig.chip_36core(),
+                             builder.resolved_params(params), traces)
 
 
 def run_benchmark(benchmark: Union[str, WorkloadProfile],
@@ -153,14 +112,18 @@ def run_benchmark(benchmark: Union[str, WorkloadProfile],
 
     ``max_cycles`` mirrors the paper's 400 K-cycle trace-driven windows;
     runs normally finish far earlier.  ``workload_scale`` shrinks the
-    synthetic footprints for quick runs.
+    synthetic footprints for quick runs.  *benchmark* is a suite name or
+    a custom :class:`~repro.workloads.synthetic.WorkloadProfile`.
     """
-    system = build_benchmark_system(benchmark, protocol=protocol,
-                                    config=config, ops_per_core=ops_per_core,
-                                    workload_scale=workload_scale,
-                                    think_scale=think_scale, seed=seed)
-    system.run_until_done(max_cycles)
-    return collect_run_result(system, protocol)
+    config = config or ChipConfig.chip_36core()
+    prof = lookup_profile(benchmark) if isinstance(benchmark, str) \
+        else benchmark
+    if workload_scale != 1.0 or think_scale != 1.0:
+        prof = scaled(prof, workload_scale, think_scale)
+    traces = generate_system_traces(prof, config.n_cores, ops_per_core,
+                                    seed=seed)
+    return _run(build_system(protocol, traces, config), protocol,
+                prof.name, max_cycles)
 
 
 def run_trace_file(path, protocol: str = "scorpio",
@@ -172,17 +135,18 @@ def run_trace_file(path, protocol: str = "scorpio",
     from repro.cpu.tracefile import load_traces
     config = config or ChipConfig.chip_36core()
     traces = load_traces(path, expect_cores=config.n_cores)
-    system = build_system(protocol, traces, config)
+    return _run(build_system(protocol, traces, config), protocol,
+                str(path), max_cycles)
+
+
+def _run(system, protocol: str, benchmark: str,
+         max_cycles: int) -> RunResult:
     runtime = system.run_until_done(max_cycles)
-    return RunResult(
-        protocol=protocol,
-        benchmark=str(path),
-        n_cores=config.n_cores,
-        runtime=runtime,
-        completed_ops=system.total_completed_ops(),
-        progress=system.progress(),
-        stats=system.stats.snapshot(),
-    )
+    return RunResult(protocol=protocol, benchmark=benchmark,
+                     n_cores=system.n_nodes, runtime=runtime,
+                     completed_ops=system.total_completed_ops(),
+                     progress=system.progress(),
+                     stats=system.stats.snapshot())
 
 
 def compare_protocols(benchmark: str,

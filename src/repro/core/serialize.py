@@ -11,7 +11,7 @@ The contract, which ``repro.api`` v1 documents rely on:
   ``"schema"`` version tag.  Stripped of the tag, the dict is identical
   to :func:`dataclasses.asdict` — the form the experiment fingerprints
   hash — so ``from_dict(to_dict(c))`` is *fingerprint-preserving*: a
-  round-tripped config produces the same :meth:`RunSpec.fingerprint`
+  round-tripped config produces the same :meth:`SystemSpec.fingerprint`
   and therefore hits the result cache of the code-built equivalent.
 * **Strict validation.**  ``from_dict()`` rejects unknown keys, missing
   keys without a dataclass default, wrong value types, and unsupported

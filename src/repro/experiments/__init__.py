@@ -14,11 +14,13 @@ See EXPERIMENTS.md for how sweeps relate to the paper's evaluation
 regime, and ``repro sweep --help`` for the CLI front-end.
 """
 
-from repro.experiments.builders import (SystemBuilder, SystemRunOutcome,
-                                        SystemSpec, builder_names,
+from repro.experiments.builders import (RunSpec, SystemBuilder,
+                                        SystemRunOutcome, SystemSpec,
+                                        builder_names, config_to_dict,
                                         execute_system_spec, get_builder,
-                                        list_builders, register_builder,
-                                        resolve_workload, workload_kinds)
+                                        list_builders, profile_to_dict,
+                                        register_builder, resolve_workload,
+                                        workload_kinds)
 from repro.experiments.cache import (CacheBackend, LocalDirBackend,
                                      ResultCache, as_backend, as_cache,
                                      code_version)
@@ -30,10 +32,9 @@ from repro.experiments.checkpoint_exec import (build_for_spec,
                                                snapshot_spec)
 from repro.experiments.context import (ExecutionContext, configure,
                                        executing, get_context)
-from repro.experiments.spec import RunSpec, config_to_dict, profile_to_dict
-from repro.experiments.sweep import (Sweep, SweepPointError, SweepResult,
-                                     execute_spec, run_grid, run_sweep,
-                                     sweep_compare)
+from repro.experiments.plan import SweepResult, plan_batch
+from repro.experiments.sweep import (Sweep, SweepPointError, run_grid,
+                                     run_sweep, sweep_compare)
 
 __all__ = [
     "CacheBackend", "ExecutionContext", "LocalDirBackend", "ResultCache",
@@ -41,10 +42,10 @@ __all__ = [
     "SystemBuilder", "SystemRunOutcome", "SystemSpec", "as_backend",
     "as_cache",
     "build_for_spec", "builder_names", "code_version", "collect_for_spec",
-    "configure", "config_to_dict", "executing", "execute_spec",
-    "execute_spec_checkpointed", "execute_system_spec", "get_builder",
-    "get_context", "list_builders", "profile_to_dict", "register_builder",
-    "resolve_workload", "resume_spec", "run_experiment_checkpointed",
-    "run_grid", "run_sweep", "snapshot_spec", "sweep_compare",
-    "workload_kinds",
+    "configure", "config_to_dict", "executing", "execute_spec_checkpointed",
+    "execute_system_spec", "get_builder",
+    "get_context", "list_builders", "plan_batch", "profile_to_dict",
+    "register_builder", "resolve_workload", "resume_spec",
+    "run_experiment_checkpointed", "run_grid", "run_sweep",
+    "snapshot_spec", "sweep_compare", "workload_kinds",
 ]

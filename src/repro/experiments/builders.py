@@ -1,36 +1,54 @@
-"""System-builder registry: declarative specs for arbitrary full systems.
+"""System-builder registry and the one spec type of the experiment layer.
 
-:class:`~repro.experiments.spec.RunSpec` covers exactly the
-``run_benchmark`` shape — one protocol out of the high-level API on one
-chip config.  Everything else the evaluation builds by hand (the Fig. 7
-ordered-network baselines, the Sec. 2 Timestamp/Uncorq critiques, INCF
-on/off ablations, lock-contention runs, litmus programs) used to
-construct systems imperatively and therefore ran serially and uncached.
-
-A :class:`SystemSpec` closes that gap: it *names* a registered builder
-plus JSON-able builder params and a declarative workload, so any system
-construction becomes a picklable, fingerprintable unit of work that
+A :class:`SystemSpec` *names* a registered builder plus JSON-able
+builder params and a declarative workload, so any system construction —
+the ``run_benchmark`` protocols, the Fig. 7 ordered-network baselines,
+the Sec. 2 Timestamp/Uncorq critiques, INCF on/off ablations,
+lock-contention runs, litmus programs — is a picklable,
+fingerprintable unit of work that
 :func:`repro.experiments.sweep.run_sweep` can fan out across processes
-and answer from the on-disk result cache.  The registry is introspectable
-(``repro sweep --list-builders``) and extensible: registering a builder
-is all it takes for a new system variant to be sweepable.
+and answer from the on-disk result cache.  :func:`RunSpec` is not a
+second spec type: it lowers a (benchmark, protocol, knobs) point to the
+equivalent ``SystemSpec`` through :data:`repro.core.api.PROTOCOL_BUILDERS`.
+The registry is introspectable (``repro sweep --list-builders``) and
+extensible: registering a builder is all it takes for a new system
+variant to be sweepable.
 
-Fingerprint contract: two SystemSpecs with equal fingerprints run the
-same builder with the same resolved params on the same expanded config
-against the same resolved workload — the same determinism guarantee
-RunSpec gives for benchmark runs (see tests/test_golden_stats.py for the
-regression lock on the underlying cycle-level behaviour).
+Fingerprint contract: a spec's :meth:`~SystemSpec.fingerprint` is a
+content hash of everything that determines the simulation's outcome —
+the builder with its resolved params, the fully expanded
+:class:`~repro.core.config.ChipConfig`, the resolved workload, the cycle
+budget, and the version of the simulator source — so two specs with
+equal fingerprints produce identical results (see
+tests/test_golden_stats.py for the regression lock on the underlying
+cycle-level behaviour).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Tuple,
+                    Union)
 
 from repro.core.config import ChipConfig
-from repro.experiments.spec import SPEC_SCHEMA, config_to_dict, profile_to_dict
+from repro.workloads.synthetic import WorkloadProfile
+
+# Bump when the meaning of a cached payload changes (new fields, changed
+# stat semantics) without a source-level change that code_version() sees.
+SPEC_SCHEMA = 1
+
+
+def config_to_dict(config: ChipConfig) -> Dict[str, Any]:
+    """Canonical, JSON-able form of a :class:`ChipConfig` (recursively
+    expands the nested subsystem dataclasses)."""
+    return asdict(config)
+
+
+def profile_to_dict(profile: WorkloadProfile) -> Dict[str, Any]:
+    return asdict(profile)
+
 
 # ---------------------------------------------------------------------------
 # Declarative workloads
@@ -48,7 +66,8 @@ REQUIRED = _Required()
 
 # kind -> {param: default}; a ``REQUIRED`` default must be supplied.
 WORKLOAD_KINDS: Dict[str, Dict[str, Any]] = {
-    # Synthetic benchmark traffic (the run_benchmark shape).
+    # Synthetic benchmark traffic (the run_benchmark shape); ``name`` is
+    # a suite name or a custom WorkloadProfile.
     "benchmark": {"name": REQUIRED, "ops_per_core": 150,
                   "workload_scale": 1.0, "think_scale": 1.0, "seed": 0},
     # Lock handoff under contention (repro.workloads.locks).
@@ -93,8 +112,8 @@ def resolve_workload(workload: Mapping[str, Any],
     """Resolve a declarative workload dict (``{"kind": ..., ...}``).
 
     The canonical key embeds the *resolved* profile for benchmark
-    workloads, so editing a suite profile invalidates cached results —
-    the same rule :meth:`RunSpec.key` applies.
+    workloads, so editing a suite profile in :mod:`repro.workloads.suites`
+    invalidates cached results even though the spec names it by string.
     """
     workload = dict(workload) if workload else {"kind": "idle"}
     kind = workload.pop("kind", None)
@@ -106,7 +125,9 @@ def resolve_workload(workload: Mapping[str, Any],
     if kind == "benchmark":
         from repro.workloads.suites import profile as lookup_profile
         from repro.workloads.synthetic import generate_system_traces, scaled
-        prof = lookup_profile(params["name"])
+        prof = params["name"]
+        if not isinstance(prof, WorkloadProfile):
+            prof = lookup_profile(prof)
         if params["workload_scale"] != 1.0 or params["think_scale"] != 1.0:
             prof = scaled(prof, params["workload_scale"],
                           params["think_scale"])
@@ -256,12 +277,7 @@ def workload_kinds() -> List[Tuple[str, Dict[str, Any]]]:
 
 @dataclass
 class SystemSpec:
-    """One (builder, params, config, workload) simulation point.
-
-    The sweep-layer sibling of :class:`RunSpec` for systems outside the
-    ``run_benchmark`` shape; accepted anywhere ``run_sweep`` accepts
-    specs, with the same fingerprint/cache semantics.
-    """
+    """One (builder, params, config, workload) simulation point."""
 
     builder: str
     config: Optional[ChipConfig] = None
@@ -291,14 +307,26 @@ class SystemSpec:
             return str(self.params["name"])
         return self.builder
 
-    def seed_value(self) -> int:
+    @property
+    def seed(self) -> int:
         for source in (self.workload, self.params):
             if "seed" in source:
                 return int(source["seed"])
         return 0
 
+    @property
+    def protocol(self) -> str:
+        """The result's ``protocol`` field: the directory builder reports
+        its scheme (``lpd``/``ht``/``fullbit``, as :data:`PROTOCOLS
+        <repro.core.api.PROTOCOLS>` names it), every other builder its
+        own name."""
+        if self.builder == "directory":
+            params = get_builder(self.builder).resolved_params(self.params)
+            return str(params["scheme"]).lower()
+        return self.builder
+
     # ------------------------------------------------------------------
-    # Fingerprinting (same contract as RunSpec.key/fingerprint)
+    # Fingerprinting
     # ------------------------------------------------------------------
 
     def key(self) -> Dict[str, Any]:
@@ -314,12 +342,36 @@ class SystemSpec:
         }
 
     def fingerprint(self, code_version: Optional[str] = None) -> str:
+        """SHA-256 over the canonical key plus the simulator version."""
         if code_version is None:
             from repro.experiments.cache import code_version as cv
             code_version = cv()
         blob = json.dumps({"code": code_version, "spec": self.key()},
                           sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def RunSpec(benchmark: Union[str, WorkloadProfile],
+            protocol: str = "scorpio",
+            config: Optional[ChipConfig] = None,
+            ops_per_core: int = 150,
+            workload_scale: float = 1.0,
+            think_scale: float = 1.0,
+            seed: int = 0,
+            max_cycles: int = 400_000,
+            label: str = "") -> SystemSpec:
+    """The :class:`SystemSpec` of one ``run_benchmark``-shaped point:
+    *protocol* picks the builder (``scorpio``, or ``directory`` with the
+    ``lpd``/``ht``/``fullbit`` scheme), the knobs become a benchmark
+    workload.  *label* is display bookkeeping, not fingerprinted."""
+    from repro.core.api import protocol_builder
+    builder, params = protocol_builder(protocol)
+    return SystemSpec(builder=builder, config=config, params=params,
+                      workload={"kind": "benchmark", "name": benchmark,
+                                "ops_per_core": ops_per_core,
+                                "workload_scale": workload_scale,
+                                "think_scale": think_scale, "seed": seed},
+                      max_cycles=max_cycles, label=label)
 
 
 def build_spec_system(spec: SystemSpec):

@@ -7,7 +7,7 @@ the whole system (:mod:`repro.sim.checkpoint`) at every slice boundary
 — including the completion boundary — and resume a preempted run from
 the snapshot in a fresh process.  The sliced run is cycle-identical to
 a straight ``run_until_done`` call, so the collected
-:class:`~repro.experiments.sweep.SweepResult` payload is byte-identical
+:class:`~repro.experiments.plan.SweepResult` payload is byte-identical
 whether the spec ran straight, sliced, or sliced-then-resumed (the
 differential test harness in ``tests/test_checkpoint_diff.py`` proves
 this for every registered builder).
@@ -22,54 +22,34 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Union
+from typing import Dict, Optional
 
-from repro.core.api import build_benchmark_system, collect_run_result
 from repro.experiments.builders import (SystemSpec, build_spec_system,
                                         collect_spec_outcome)
-from repro.experiments.spec import RunSpec
-from repro.experiments.sweep import SweepResult
+from repro.experiments.plan import SweepResult, plan_batch
 from repro.sim.checkpoint import (read_checkpoint_header, restore_payload,
                                   snapshot_system)
 
-
-def build_for_spec(spec: Union[RunSpec, SystemSpec]):
-    """Construct — but do not run — the system for one spec (either
-    kind), exactly as the sweep runner would."""
-    if isinstance(spec, SystemSpec):
-        return build_spec_system(spec)
-    return build_benchmark_system(spec.benchmark, protocol=spec.protocol,
-                                  config=spec.config,
-                                  ops_per_core=spec.ops_per_core,
-                                  workload_scale=spec.workload_scale,
-                                  think_scale=spec.think_scale,
-                                  seed=spec.seed)
+# Construct — but do not run — the system for one spec, exactly as the
+# sweep runner would.
+build_for_spec = build_spec_system
 
 
-def collect_for_spec(spec: Union[RunSpec, SystemSpec], system,
+def collect_for_spec(spec: SystemSpec, system,
                      fingerprint: str = "") -> SweepResult:
     """Harvest the canonical :class:`SweepResult` from a finished (or
     cycle-capped) system, matching the sweep runner byte for byte."""
-    if isinstance(spec, SystemSpec):
-        result = SweepResult.from_outcome(spec, fingerprint,
-                                          collect_spec_outcome(spec, system))
-    else:
-        result = SweepResult.from_run(spec, fingerprint,
-                                      collect_run_result(system,
-                                                         spec.protocol))
-    result.label = spec.label
-    return result
+    return SweepResult.from_outcome(spec, fingerprint,
+                                    collect_spec_outcome(spec, system))
 
 
-def snapshot_spec(spec: Union[RunSpec, SystemSpec], system, path: str,
+def snapshot_spec(spec: SystemSpec, system, path: str,
                   fingerprint: str = "") -> None:
     """Snapshot a (spec, system) pair mid-run so :func:`resume_spec` can
     finish it in a fresh process."""
     snapshot_system(
         system, path,
-        meta={"kind": ("system" if isinstance(spec, SystemSpec)
-                       else "benchmark"),
-              "fingerprint": fingerprint,
+        meta={"fingerprint": fingerprint,
               "label": spec.label,
               "max_cycles": spec.max_cycles,
               "finished": bool(system.all_cores_finished())},
@@ -103,7 +83,7 @@ def _run_sliced(spec, system, checkpoint_every: Optional[int],
     return collect_for_spec(spec, system, fingerprint)
 
 
-def execute_spec_checkpointed(spec: Union[RunSpec, SystemSpec],
+def execute_spec_checkpointed(spec: SystemSpec,
                               checkpoint_every: Optional[int] = None,
                               checkpoint_path: Optional[str] = None,
                               fingerprint: str = "") -> SweepResult:
@@ -172,7 +152,6 @@ def run_experiment_checkpointed(experiment,
     from repro.api.document import (ExperimentSpec,
                                     collect_experiment_result,
                                     load_experiment)
-    from repro.experiments.cache import code_version
 
     if not isinstance(experiment, ExperimentSpec):
         experiment = load_experiment(experiment)
@@ -187,24 +166,22 @@ def run_experiment_checkpointed(experiment,
     if checkpoint_dir and checkpoint_every is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
 
-    version = code_version()
-    results: List[Any] = []
-    matched = False
-    for spec in experiment.specs:
-        fingerprint = spec.fingerprint(code_version=version)
+    # Uncached plan: every point is a run, repeated points run once.
+    plan = plan_batch(experiment.specs)
+    computed: Dict[str, Dict] = {}
+    for fingerprint, spec in plan.runs():
         path = checkpoint_path_for(checkpoint_dir, fingerprint)
-        if resume_fingerprint == fingerprint and not matched:
-            matched = True
-            results.append(resume_spec(resume,
-                                       checkpoint_every=checkpoint_every,
-                                       checkpoint_path=path))
+        if fingerprint == resume_fingerprint:
+            result = resume_spec(resume, checkpoint_every=checkpoint_every,
+                                 checkpoint_path=path)
         else:
-            results.append(execute_spec_checkpointed(
+            result = execute_spec_checkpointed(
                 spec, checkpoint_every=checkpoint_every,
-                checkpoint_path=path, fingerprint=fingerprint))
-    if resume is not None and not matched:
+                checkpoint_path=path, fingerprint=fingerprint)
+        computed[fingerprint] = result.payload()
+    if resume is not None and resume_fingerprint not in computed:
         raise ValueError(
             f"{resume}: snapshot fingerprint {resume_fingerprint} matches "
             f"no run in experiment {experiment.name!r} — the document or "
             f"the simulator sources changed since it was written")
-    return collect_experiment_result(experiment, results)
+    return collect_experiment_result(experiment, plan.results(computed))

@@ -1,20 +1,24 @@
 """Job bookkeeping for the sweep service.
 
 A *job* is one submitted experiment document.  :class:`JobManager`
-mirrors the local ``run_experiment`` execution exactly — same
-fingerprinting, same one-lookup-per-spec cache accounting (a duplicate
-of a pending point is its own miss), same label handling, same
-:func:`collect_experiment_result` tail — so the envelope a job produces
+plans it with the same planner as ``run_experiment``
+(:func:`~repro.experiments.plan.plan_batch`: fingerprints, one cache
+probe per spec, in-batch dedupe, per-job hit/miss counts) and assembles
+it with the same :meth:`~repro.experiments.plan.Plan.results` and
+:func:`collect_experiment_result` tail, so the envelope a job produces
 is **byte-identical** to ``repro run-file`` on the same document
 against the same cache state.  That is the contract that makes a shared
 service safe: a result is a result, regardless of which door it came
 through (``tests/test_serve.py`` locks it).
 
-Points that miss the cache go to the host's
-:class:`~repro.serve.scheduler.PointScheduler`; everything else is
-answered at submit time.  Each job records an append-only event log
-(``queued`` / ``point`` / ``retry`` / ``done`` / ``failed``) that the
-frontend streams as NDJSON.
+A document is planned before it becomes a job: a cache backend that
+fails while planning raises
+:class:`~repro.serve.backend.CacheUnavailableError` from
+:meth:`JobManager.submit` and no job is registered.  The plan's runs go
+to the host's :class:`~repro.serve.scheduler.PointScheduler`;
+everything else is answered at submit time.  Each job records an
+append-only event log (``queued`` / ``point`` / ``retry`` / ``done`` /
+``failed``) that the frontend streams as NDJSON.
 """
 
 from __future__ import annotations
@@ -24,26 +28,24 @@ from typing import Any, Dict, List, Optional
 
 from repro.api.document import (ExperimentSpec, collect_experiment_result,
                                 envelope_bytes)
-from repro.experiments.cache import CacheBackend, code_version
-from repro.experiments.sweep import SweepResult
+from repro.experiments.cache import CacheBackend
+from repro.experiments.plan import Plan, plan_batch
+from repro.serve.backend import CacheUnavailableError
 from repro.serve.scheduler import PointScheduler
 
 
 class Job:
     """One submitted document and everything it has produced so far."""
 
-    def __init__(self, job_id: str, experiment: ExperimentSpec) -> None:
+    def __init__(self, job_id: str, experiment: ExperimentSpec,
+                 plan: Plan) -> None:
         self.id = job_id
         self.experiment = experiment
+        self.plan = plan
         self.state = "running"          # running | done | failed
-        self.results: List[Optional[SweepResult]] = \
-            [None] * len(experiment.specs)
-        self.hits = 0
-        self.misses = 0
-        # fingerprint -> spec indices it resolves (first index computes,
-        # the rest alias), insertion-ordered.
-        self.pending: Dict[str, List[int]] = {}
-        self.remaining = 0
+        # fingerprint -> payload of each finished run
+        self.computed: Dict[str, Dict[str, Any]] = {}
+        self.remaining = len(plan.pending)
         self.failures: Dict[str, str] = {}
         self.retries = 0
         self.envelope: Optional[bytes] = None
@@ -59,10 +61,10 @@ class Job:
                 "job": self.id,
                 "experiment": self.experiment.name,
                 "state": self.state,
-                "points": len(self.results),
+                "points": len(self.plan.specs),
                 "pending": self.remaining,
                 "retries": self.retries,
-                "cache": {"hits": self.hits, "misses": self.misses},
+                "cache": self.plan.cache_stats(),
                 "failures": dict(self.failures),
                 "error": self.error,
             }
@@ -96,51 +98,33 @@ class JobManager:
     # ------------------------------------------------------------------
 
     def submit(self, experiment: ExperimentSpec) -> Job:
-        """Accept a validated document: resolve every point against the
-        cache (submit-time short-circuit), queue only the unique misses.
-        """
+        """Plan a validated document (submit-time cache short-circuit),
+        register it as a job and queue only its unique misses."""
+        plan = plan_batch(experiment.specs, self._probe)
         with self._lock:
             self._counter += 1
-            job_id = f"job-{self._counter:04d}"
-            job = Job(job_id, experiment)
-            self._jobs[job_id] = job
-
-        version = code_version()
-        for index, spec in enumerate(experiment.specs):
-            fingerprint = spec.fingerprint(code_version=version)
-            if fingerprint in job.pending:
-                # Duplicate of a point already pending in *this* job:
-                # its own miss (matching run_sweep's accounting), but
-                # simulated once.
-                job.misses += 1
-                job.pending[fingerprint].append(index)
-                continue
-            payload = self.backend.get(fingerprint)
-            if payload is not None:
-                job.hits += 1
-                recalled = SweepResult.from_payload(payload, cached=True)
-                recalled.label = spec.label
-                job.results[index] = recalled
-            else:
-                job.misses += 1
-                job.pending[fingerprint] = [index]
-
-        job.remaining = len(job.pending)
+            job = Job(f"job-{self._counter:04d}", experiment, plan)
+            self._jobs[job.id] = job
         with job.condition:
-            job._emit({"event": "queued", "points": len(job.results),
-                       "hits": job.hits, "misses": job.misses,
-                       "pending": job.remaining})
+            job._emit({"event": "queued", "points": len(plan.specs),
+                       **plan.cache_stats(), "pending": job.remaining})
         if job.remaining == 0:
             self._finalize(job)
             return job
-        for fingerprint in job.pending:
-            first = job.pending[fingerprint][0]
-            spec = experiment.specs[first]
+        for fingerprint, spec in plan.runs():
             self.scheduler.submit(
                 fingerprint, spec,
                 lambda kind, fp, payload, error, _job=job:
                     self._on_point(_job, kind, fp, payload, error))
         return job
+
+    def _probe(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        try:
+            return self.backend.get(fingerprint)
+        except Exception as exc:
+            raise CacheUnavailableError(
+                f"cache backend {self.backend.location} failed: "
+                f"{exc}") from exc
 
     # ------------------------------------------------------------------
     # Lookup
@@ -167,17 +151,11 @@ class JobManager:
                 job._emit({"event": "retry", "fingerprint": fingerprint,
                            "error": error})
             return
-        finished = False
         with job.condition:
-            indices = job.pending.get(fingerprint, [])
             if kind == "done" and payload is not None:
-                for position, index in enumerate(indices):
-                    result = SweepResult.from_payload(
-                        payload, cached=position > 0)
-                    result.label = job.experiment.specs[index].label
-                    job.results[index] = result
+                job.computed[fingerprint] = payload
                 job._emit({"event": "point", "fingerprint": fingerprint,
-                           "indices": list(indices)})
+                           "indices": list(job.plan.pending[fingerprint])})
             else:
                 job.failures[fingerprint] = error or "unknown failure"
                 job._emit({"event": "point_failed",
@@ -201,10 +179,9 @@ class JobManager:
                            "failures": dict(job.failures)})
             return
         try:
-            collected = collect_experiment_result(job.experiment,
-                                                  job.results)
-            collected.cache_stats = {"hits": job.hits,
-                                     "misses": job.misses}
+            collected = collect_experiment_result(
+                job.experiment, job.plan.results(job.computed))
+            collected.cache_stats = job.plan.cache_stats()
             envelope = envelope_bytes(collected.payload())
         except Exception as exc:  # bench/litmus collection failure
             with job.condition:
@@ -215,6 +192,5 @@ class JobManager:
         with job.condition:
             job.envelope = envelope
             job.state = "done"
-            job._emit({"event": "done",
-                       "cache": {"hits": job.hits, "misses": job.misses},
+            job._emit({"event": "done", "cache": job.plan.cache_stats(),
                        "bytes": len(envelope)})

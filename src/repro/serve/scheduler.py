@@ -10,9 +10,9 @@ subscribed callbacks.
 Two layers of cache short-circuiting keep "never re-simulate a point
 anyone has run" true:
 
-* **submit time** — :class:`~repro.serve.jobs.JobManager` looks every
-  point up before it ever reaches the scheduler, so warm points never
-  enter the queue at all;
+* **submit time** — :class:`~repro.serve.jobs.JobManager` plans every
+  job (:func:`~repro.experiments.plan.plan_batch`) before any point
+  reaches the scheduler, so warm points never enter the queue at all;
 * **dispatch time** — the pool's ``precheck`` hook re-probes the
   backend immediately before a process would be spawned, so a point
   another host (or a concurrent job) finished while this one sat queued
@@ -29,9 +29,13 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.cache import CacheBackend
+from repro.experiments.plan import execute_point
 from repro.experiments.procpool import (DEFAULT_BACKOFF, DEFAULT_RETRIES,
                                         SlotPool)
-from repro.experiments.sweep import _pool_worker
+
+# The per-point worker, looked up when a scheduler starts (tests
+# substitute it).
+_pool_worker = execute_point
 
 # callback(kind, fingerprint, payload_or_None, error_or_None) with kind
 # "done" | "failed" | "retry"; called from the dispatch thread.

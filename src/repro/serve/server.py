@@ -9,7 +9,8 @@ method      path                           meaning
 GET         /v1/health                     frontend liveness + identity
 POST        /v1/jobs                       submit an experiment document
                                            (the document dict itself as the
-                                           request body)
+                                           request body); 503 if the cache
+                                           backend fails while planning
 GET         /v1/jobs                       job summaries, submission order
 GET         /v1/jobs/<id>                  one job's status summary
 GET         /v1/jobs/<id>/result           the results envelope (bytes are
@@ -44,6 +45,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 from repro.api.document import (DocumentError, experiment_from_dict,
                                 load_experiment)
 from repro.experiments.cache import CacheBackend, as_backend
+from repro.serve.backend import CacheUnavailableError
 from repro.serve.jobs import JobManager
 from repro.serve.scheduler import PointScheduler
 
@@ -284,6 +286,9 @@ class _Handler(BaseHTTPRequestHandler):
             job = self.service.submit_document(data)
         except DocumentError as exc:
             self._error(422, str(exc))
+            return
+        except CacheUnavailableError as exc:
+            self._error(503, str(exc))
             return
         self._send_json(202, job.summary())
 

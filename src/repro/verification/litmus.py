@@ -18,14 +18,14 @@ sequentially consistent interleaving explains every observed value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.api import build_system
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace
-from repro.noc.config import NocConfig
 from repro.sim.engine import Clocked
-from repro.systems.scorpio import ScorpioSystem
 
 LINE = 32
 VAR_BASE = 0x5000_0000
@@ -96,15 +96,9 @@ class LitmusProgram:
 
 
 def _build_system(protocol: str, width: int, height: int, seed: int):
-    noc = NocConfig(width=width, height=height)
-    traces = [Trace([]) for _ in range(width * height)]
-    if protocol == "scorpio":
-        return ScorpioSystem(traces=traces, noc=noc, seed=seed)
-    if protocol in ("lpd", "ht", "fullbit"):
-        from repro.systems.directory import DirectorySystem
-        return DirectorySystem(scheme=protocol.upper(), traces=traces,
-                               noc=noc, seed=seed)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    config = replace(ChipConfig.variant(width, height), seed=seed)
+    return build_system(protocol, [Trace([]) for _ in range(width * height)],
+                        config)
 
 
 def build_litmus_system(program: LitmusProgram, width: int = 3,

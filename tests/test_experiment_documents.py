@@ -21,7 +21,7 @@ from repro.analysis import figures
 from repro.api import (DOCUMENT_SCHEMA, RESULTS_SCHEMA, DocumentError,
                        describe_experiment, experiment_from_dict,
                        load_experiment, run_experiment)
-from repro.experiments import RunSpec, Sweep, as_cache, run_sweep
+from repro.experiments import Sweep, SystemSpec, as_cache, run_sweep
 
 DOCS = Path(__file__).resolve().parent.parent / "examples" / "experiments"
 
@@ -150,7 +150,7 @@ def test_matrix_expands_like_sweep():
                   seeds=(0, 1), ops_per_core=12)
     assert [spec.key() for spec in document.specs] == \
         [spec.key() for spec in sweep.expand()]
-    assert all(isinstance(spec, RunSpec) for spec in document.specs)
+    assert all(isinstance(spec, SystemSpec) for spec in document.specs)
 
 
 def test_litmus_section_expands_programs_by_seed():

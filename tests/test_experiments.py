@@ -103,7 +103,7 @@ class TestSweepExpansion:
                       seeds=(0, 1))
         specs = sweep.expand()
         assert len(specs) == len(sweep) == 8
-        assert [(s.benchmark, s.protocol, s.seed) for s in specs[:3]] == [
+        assert [(s.benchmark_name, s.protocol, s.seed) for s in specs[:3]] == [
             ("fft", "lpd", 0), ("fft", "lpd", 1), ("fft", "scorpio", 0)]
 
     def test_labelled_configs(self):
@@ -194,7 +194,7 @@ class TestRunSweep:
     def test_cache_invalidates_when_code_version_changes(self, tmp_path,
                                                          monkeypatch):
         run_sweep([tiny_spec()], cache=tmp_path)
-        monkeypatch.setattr("repro.experiments.sweep.code_version",
+        monkeypatch.setattr("repro.experiments.plan.code_version",
                             lambda: "different-source-digest")
         [result] = run_sweep([tiny_spec()], cache=tmp_path)
         assert not result.cached
